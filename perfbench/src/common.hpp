@@ -52,6 +52,13 @@ inline double thread_cpu_s() {
     return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
+/// CPU time consumed by every thread of this process, in seconds.
+inline double process_cpu_s() {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// Peak resident set of this process (VmHWM), in MiB.
 inline double peak_rss_mb() {
     std::ifstream in("/proc/self/status");
@@ -78,52 +85,6 @@ inline double quantile(std::vector<double> v, double q) {
 }
 
 inline double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
-
-/// A run's timing samples, split by when they were taken into kSubWindows
-/// equal sub-windows of the timed window. Each timing metric is taken in
-/// every sub-window and the run reports the best of them (the lowest
-/// latency, the highest rate): on a shared host, interference from other
-/// tenants comes in episodes of a second or two, and the calmest sub-window
-/// is the steadiest reading of the program's own cost.
-inline constexpr int kSubWindows = 5;
-
-class SubWindows {
-public:
-    /// Window [0, span) in seconds after its start; samples taken later
-    /// (the run's tail) fall into the last sub-window.
-    explicit SubWindows(double span = 1) : span_(span) {}
-    void add(double t, double v) { parts_[index(t)].push_back(static_cast<float>(v)); }
-    void count(double t, double n) { counts_[index(t)] += n; }
-    /// Lowest, over the sub-windows, of the q-quantile of the values in each.
-    [[nodiscard]] double quantile(double q) {
-        std::vector<double> per;
-        for (auto& p : parts_) {
-            if (p.empty()) continue;
-            std::sort(p.begin(), p.end());
-            std::vector<double> v(p.begin(), p.end());
-            per.push_back(sorted_quantile(v, q));
-        }
-        return per.empty() ? 0.0 : *std::min_element(per.begin(), per.end());
-    }
-    /// Highest, over the sub-windows, of the counted amount per second, for
-    /// a run that ended `end` seconds after the window's start.
-    [[nodiscard]] double rate(double end) const {
-        std::vector<double> per;
-        const double w = span_ / kSubWindows;
-        for (int k = 0; k < kSubWindows; ++k)
-            per.push_back(counts_[static_cast<std::size_t>(k)] /
-                          (k + 1 < kSubWindows ? w : std::max(end - k * w, w)));
-        return *std::max_element(per.begin(), per.end());
-    }
-private:
-    [[nodiscard]] std::size_t index(double t) const {
-        const auto k = static_cast<long>(t / span_ * kSubWindows);
-        return static_cast<std::size_t>(std::clamp<long>(k, 0, kSubWindows - 1));
-    }
-    double span_;
-    std::array<std::vector<float>, kSubWindows> parts_;
-    std::array<double, kSubWindows> counts_{};
-};
 
 /// splitmix64: the benchmark's only source of randomness, so the inputs are
 /// a function of the seed alone.
@@ -173,6 +134,7 @@ struct Result {
     Metrics e2e;    ///< end-to-end metrics
     Metrics layer;  ///< per-layer metrics (filled by traced passes)
     std::vector<std::string> notes;  ///< human-readable lines (input make-up)
+    double peak_rss_mb = 0;          ///< VmHWM at the end of the timed window
 
     void check(bool ok, const std::string& what) {
         if (!ok) check_failures.push_back(what);
@@ -213,6 +175,10 @@ public:
         s.cpu_s = thread_cpu_s() - c0;
         s.wall_s = now_s() - s.start_s;
         logs_[slot(rank)].push_back(std::move(s));
+    }
+    /// Drops every span (call while no rank thread records).
+    void clear() {
+        for (auto& log : logs_) log.clear();
     }
     /// Records an already measured span.
     void add(Span s) {
@@ -270,6 +236,8 @@ public:
         }
         comm.barrier();
     }
+    /// Forgets every charge (call while no rank is inside a step).
+    void clear() { steps_.clear(); }
     /// Seconds of `phase` charged to `step`, summed over all ranks.
     [[nodiscard]] double seconds(const std::string& step, dsg::par::Phase phase) const {
         const auto it = steps_.find(step);
@@ -312,8 +280,9 @@ inline void report_comm(Result& r, const CommDelta& c, double updates, double ba
                 static_cast<double>(c.total.collectives) / std::max(batches, 1.0), "count");
 }
 
-/// Median of the set-up times of a run's repetitions.
-inline constexpr int kSetupReps = 3;
+/// Set-ups per run; setup_s is their median. The first set-up is the
+/// measured one, so the timed window runs in a fresh process.
+inline constexpr int kSetupReps = 5;
 inline constexpr int kRanks = 4;  // a 2 x 2 grid
 
 }  // namespace pb

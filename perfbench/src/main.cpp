@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <malloc.h>
 #include <string>
 
 #include "common.hpp"
@@ -80,18 +79,21 @@ const std::pair<const char*, const char*> kLayerMetrics[] = {
 };
 
 /// The end-to-end metrics of an untraced run, with bounds in BENCHMARK.json.
-const char* const kEndToEnd[] = {
-    "setup_s", "peak_rss_mb", "comm_bytes_per_update", "ingest_ops_per_s", "visible_ms_p50", "query_ms_p50",
-};
+const char* const kEndToEnd[] = {"setup_s", "peak_rss_mb", "comm_bytes_per_update", "cpu_us_per_op"};
 
-/// Timings whose run-to-run spread on a shared host is wider than any
-/// useful bound; a traced run reports them from its traced pass.
-const char* const kUnbounded[] = {"batch_ms_p50", "batch_ms_p90", "visible_ms_p99", "query_ms_p99"};
+/// Wall-clock rates and latencies: measured like the end-to-end metrics, but
+/// their run-to-run spread on a shared host is wider than any useful bound.
+/// A traced run reports them from its untraced pass.
+const std::pair<const char*, const char*> kUnbounded[] = {
+    {"batch_ms_p50", "ms"},   {"batch_ms_p90", "ms"},   {"ingest_ops_per_s", "ops/s"},
+    {"visible_ms_p50", "ms"}, {"visible_ms_p99", "ms"}, {"query_ms_p50", "ms"},
+    {"query_ms_p99", "ms"},
+};
 
 /// End-to-end metrics whose traced / untraced ratio is reported
 /// (peak_rss_mb is a process-wide high-water mark, so it has none).
 const char* const kOverheadMetrics[] = {
-    "setup_s",        "batch_ms_p50",   "batch_ms_p90",   "comm_bytes_per_update",
+    "setup_s",        "batch_ms_p50",   "batch_ms_p90",   "comm_bytes_per_update", "cpu_us_per_op",
     "ingest_ops_per_s", "visible_ms_p50", "visible_ms_p99", "query_ms_p50",
     "query_ms_p99",
 };
@@ -143,14 +145,8 @@ int main(int argc, char** argv) {
         o.workload != "node-ingest" && o.workload != "node-serve")
         return usage();
     if (!o.out_dir.empty()) std::filesystem::create_directories(o.out_dir);
-    // Keep freed memory in the process: the measured pass then reuses the
-    // pages of the earlier set-ups, as a long-running node reuses its own,
-    // instead of faulting in fresh ones (costly and erratic in a VM).
-    mallopt(M_MMAP_THRESHOLD, 1 << 30);
-    mallopt(M_TRIM_THRESHOLD, 1 << 30);
-
     Result r = run_pass(o, false);
-    r.e2e.set("peak_rss_mb", pb::peak_rss_mb(), "MiB");
+    r.e2e.set("peak_rss_mb", r.peak_rss_mb, "MiB");
     bool correct = r.check_failures.empty();
     Metrics out;
     for (const char* name : kEndToEnd) out.set(name, r.e2e.get(name), r.e2e.all().at(name).second);
@@ -163,7 +159,7 @@ int main(int argc, char** argv) {
         for (const auto& f : t.check_failures) r.check_failures.push_back("traced " + f);
         out = Metrics{};
         for (const auto& [name, unit] : kLayerMetrics) out.set(name, t.layer.get(name), unit);
-        for (const char* name : kUnbounded) out.set(name, t.e2e.get(name), "ms");
+        for (const auto& [name, unit] : kUnbounded) out.set(name, r.e2e.get(name), unit);
         for (const char* name : kOverheadMetrics) {
             const double base = r.e2e.get(name);
             out.set(std::string("obs.trace_overhead.") + name,

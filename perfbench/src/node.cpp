@@ -28,6 +28,8 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <unistd.h>
 
 #include "analytics/graph_maintainers.hpp"
@@ -64,9 +66,13 @@ struct NodeSizing {
 };
 // node-ingest is skewed so long DHB rows use their hash index; node-serve is
 // uniform so the triangle maintainer's cost does not hinge on which hubs a
-// seed happens to draw.
+// seed happens to draw. node-serve's traffic follows the repository's own
+// serving loads: 2000 queries/s is the higher target rate of
+// bench/bench_slo_serving.cpp, and one write per nine reads is the ratio of
+// the serving-read-heavy scenario of src/stream/workloads.hpp.
+constexpr double kQueryRate = 2000;
 constexpr NodeSizing kIngest{18, true, 1'500'000, 2, 0, 0};
-constexpr NodeSizing kServe{13, false, 16'000, 1, 2000, 1000};
+constexpr NodeSizing kServe{14, false, 65'536, 1, kQueryRate / 9, kQueryRate};
 /// Op mix, repeated per queue: 7 ADDs, 2 MERGEs, 7 MASKs in 16 ops, so
 /// the graph neither grows nor shrinks.
 constexpr Kind kMix[16] = {Kind::Add,  Kind::Mask, Kind::Add,  Kind::Mask, Kind::Add,  Kind::Merge,
@@ -74,7 +80,12 @@ constexpr Kind kMix[16] = {Kind::Add,  Kind::Mask, Kind::Add,  Kind::Mask, Kind:
                            Kind::Add,  Kind::Mask, Kind::Add,  Kind::Mask};
 constexpr std::uint64_t kPublishEvery = 4;       // epochs per published snapshot
 constexpr std::uint64_t kCheckpointStride = 64;  // epochs per checkpoint
-constexpr std::uint64_t kSampleEvery = 32;       // checked share of the queries
+constexpr std::uint64_t kSampleEvery = 31;       // checked share of the queries
+                                                 // (odd, so every class is sampled)
+constexpr int kServeSetupReps = 11;              // node-serve sets up in ~0.2 s
+/// node-serve's epoch period in seconds: the engine's 20 ms drain deadline
+/// plus a typical epoch's work fit in it with room to spare.
+constexpr double kServeEpochPeriod = 0.05;
 
 struct NodeInputs {
     NodeSizing sz;
@@ -191,10 +202,12 @@ stream::StreamOp<double> to_stream(const Op& op) {
 /// finished.
 struct PublishTap {
     Engine& engine;
+    std::function<void(std::uint64_t version)> before;
     std::function<void(std::uint64_t version, double start)> done;
     [[nodiscard]] const stream::EngineConfig& config() const { return engine.config(); }
     void set_publish_hook(Engine::PublishHook hook) {
         engine.set_publish_hook([this, hook = std::move(hook)](std::uint64_t v) {
+            if (before) before(v);
             const double t0 = now_s();
             hook(v);
             if (done) done(v, t0);
@@ -254,18 +267,26 @@ struct NodeShared {
     std::array<std::vector<std::size_t>, kRanks> drained;
     std::vector<std::pair<std::uint64_t, double>> published;  // (version, time)
     std::vector<double> publish_ms, hook_ms, hook_cpu_ms;
-    double t_start = 0, t_end = 0;
+    // Traced passes, rank 0, per applied epoch: (version, thread CPU ms from
+    // the start of the epoch to its publish hook, less the analytics hook's).
+    std::vector<std::pair<std::uint64_t, double>> pre_publish_cpu_ms;
+    double pump_cpu0 = 0, last_hook_cpu_ms = 0;
+    double t_start = 0, t_end = 0, peak_rss_mb = 0;
+    // Process CPU at the window's start and over it, and the CPU spent by
+    // the benchmark's own load threads (producers, query client).
+    double cpu0 = 0, cpu_s = 0;
+    std::mutex load_mx;
+    double load_cpu_s = 0;
     std::uint64_t applied = 0, wal_bytes = 0, published_in_window = 0;
     std::atomic<std::uint64_t> push_failed{0};  // pushes refused by a closed queue
     std::vector<stream::EpochStats> log0;  // rank 0's epoch log
-    std::vector<double> epoch_end;         // when each of rank 0's pumps returned
     CommDelta comm;
     double write_lateness_ms = 0, query_lateness_ms = 0;  // open-loop schedules
     std::array<double, par::kPhaseCount> phase_s{};
     double blocked_ms = 0;
     std::array<std::uint64_t, kRanks> blocked_begin{};
     // Queries.
-    SubWindows query_ms;
+    std::vector<double> query_ms;
     std::uint64_t issued = 0, ok = 0, hits = 0;
     std::vector<Sample> samples;
     // Final state for the checks.
@@ -286,6 +307,13 @@ bool push_next(NodeShared& sh, OpSource& src, std::size_t l) {
     return true;
 }
 
+/// Adds the calling load thread's CPU time to the benchmark's own share.
+void count_load_cpu(NodeShared& sh) {
+    const double c = thread_cpu_s();
+    std::lock_guard lock(sh.load_mx);
+    sh.load_cpu_s += c;
+}
+
 /// Closed-loop producer: pushes to its queues in turn, each push waiting
 /// while the queue is full, until the window closes.
 void closed_producer(NodeShared& sh, OpSource& src, double seconds) {
@@ -294,6 +322,7 @@ void closed_producer(NodeShared& sh, OpSource& src, double seconds) {
         for (int burst = 0; burst < 64; ++burst, ++k)
             if (!push_next(sh, src, k % lanes)) ++sh.push_failed;
     for (const int q : src.queues()) sh.engines[static_cast<std::size_t>(q)]->queue().producer_done();
+    count_load_cpu(sh);
 }
 
 /// Open-loop producer: op k is due at t_start + k / rate and goes to queue
@@ -309,6 +338,7 @@ void open_producer(NodeShared& sh, OpSource& src, double rate, double seconds) {
         if (!push_next(sh, src, k % lanes)) ++sh.push_failed;
     }
     for (const int q : src.queues()) sh.engines[static_cast<std::size_t>(q)]->queue().producer_done();
+    count_load_cpu(sh);
 }
 
 /// The query client: query k is due at t_start + k / rate. Replies are
@@ -337,16 +367,19 @@ void query_client(NodeShared& sh, std::uint64_t seed, double rate, double second
                 inflight.pop_front();
             }
             const serve::QueryResult r = p.f.get();
-            sh.query_ms.add(p.due - sh.t_start, 1e3 * (now_s() - p.due));
+            sh.query_ms.push_back(1e3 * (now_s() - p.due));
             if (r.status == serve::QueryStatus::Ok) ++sh.ok;
             if (r.cache_hit) ++sh.hits;
             if (p.k % kSampleEvery == 0) sh.samples.push_back({p.q, r});
         }
+        count_load_cpu(sh);
     });
     const index_t n = sh.in->rmat->n();
     Rng rng(seed, 400);
-    // Skewed keys: vertex index n * u^4 of a fixed relabelling, so a small
-    // hot set draws most queries and the cache hits on part of them.
+    // Skewed keys: vertex index n * u^4 of a fixed relabelling, so that
+    // P(key < t * n) = t^(1/4), the read-key skew (zipf_skew = 4) of the
+    // serving-read-heavy scenario in src/stream/workloads.hpp. A small hot
+    // set draws most queries and the cache hits on part of them.
     auto key = [&] {
         const double u = rng.unit();
         const auto x = static_cast<std::uint64_t>(static_cast<double>(n) * u * u * u * u);
@@ -355,12 +388,14 @@ void query_client(NodeShared& sh, std::uint64_t seed, double rate, double second
     for (std::uint64_t k = 0;; ++k) {
         const double due = sh.t_start + static_cast<double>(k) / rate;
         if (due - sh.t_start >= seconds) break;
+        // The equal rotation of bench/bench_slo_serving.cpp.
         serve::Query q;
-        const auto kind = rng.below(10);
-        if (kind < 4) q = {serve::QueryKind::EdgeExists, key(), key(), 1, ""};
-        else if (kind < 7) q = {serve::QueryKind::Degree, key(), 0, 1, ""};
-        else if (kind < 9) q = {serve::QueryKind::KHop, key(), 0, 2, ""};
-        else q = {serve::QueryKind::AnalyticsRead, 0, 0, 1, "triangles"};
+        switch (k % 4) {
+            case 0: q = {serve::QueryKind::EdgeExists, key(), key(), 1, ""}; break;
+            case 1: q = {serve::QueryKind::Degree, key(), 0, 1, ""}; break;
+            case 2: q = {serve::QueryKind::KHop, key(), 0, 2, ""}; break;
+            default: q = {serve::QueryKind::AnalyticsRead, 0, 0, 1, "triangles"};
+        }
         const double wait = due - now_s();
         if (wait > 0) std::this_thread::sleep_for(std::chrono::duration<double>(wait));
         late = std::max(late, 1e3 * (now_s() - due));
@@ -379,6 +414,7 @@ void query_client(NodeShared& sh, std::uint64_t seed, double rate, double second
     cv.notify_one();
     receiver.join();
     sh.query_lateness_ms = late;
+    count_load_cpu(sh);
 }
 
 void node_body(Comm& comm, const Options& o, NodeShared& sh, bool serve_mode, bool measure,
@@ -399,7 +435,8 @@ void node_body(Comm& comm, const Options& o, NodeShared& sh, bool serve_mode, bo
             hub.on_epoch(d);
             if (rank == 0) {
                 sh.hook_ms.push_back(1e3 * (now_s() - t0));
-                sh.hook_cpu_ms.push_back(1e3 * (thread_cpu_s() - c0));
+                sh.last_hook_cpu_ms = 1e3 * (thread_cpu_s() - c0);
+                sh.hook_cpu_ms.push_back(sh.last_hook_cpu_ms);
             }
         });
     }
@@ -408,7 +445,11 @@ void node_body(Comm& comm, const Options& o, NodeShared& sh, bool serve_mode, bo
     pcfg.checkpoint_stride = kCheckpointStride;
     persist::DurabilityManager<PT> durable(engine, A, pcfg, persist::DurabilityManager<PT>::Start::Fresh,
                                            serve_mode ? &hub : nullptr);
-    PublishTap tap{engine, nullptr};
+    PublishTap tap{engine, nullptr, nullptr};
+    if (rank == 0 && traced)
+        tap.before = [&](std::uint64_t v) {
+            sh.pre_publish_cpu_ms.emplace_back(v, 1e3 * (thread_cpu_s() - sh.pump_cpu0) - sh.last_hook_cpu_ms);
+        };
     if (rank == 0)
         tap.done = [&](std::uint64_t v, double t0) {
             if (sh.store->current_version() == v &&
@@ -444,7 +485,8 @@ void node_body(Comm& comm, const Options& o, NodeShared& sh, bool serve_mode, bo
             par::Profiler::clear_trace();
         }
         sh.published_in_window = sh.store->published();
-        sh.query_ms = SubWindows(o.seconds);
+        sh.load_cpu_s = 0;
+        sh.cpu0 = process_cpu_s();
         sh.t_start = now_s();
         if (in.sz.write_rate > 0) {
             threads.emplace_back(open_producer, std::ref(sh), std::ref(*sh.sources[0]), in.sz.write_rate,
@@ -455,14 +497,29 @@ void node_body(Comm& comm, const Options& o, NodeShared& sh, bool serve_mode, bo
                 threads.emplace_back(closed_producer, std::ref(sh), std::ref(*src), o.seconds);
         }
     }
-    for (bool more = true; more;) {
-        more = engine.pump();
-        if (rank == 0) sh.epoch_end.push_back(now_s());
+    if (serve_mode) comm.barrier();  // every rank sees t_start
+    for (std::uint64_t k = 1, more = 1; more != 0; ++k) {
+        // node-serve applies its epochs on a fixed schedule: epoch k starts
+        // at t_start + k * period, or at once when the previous one ran
+        // late. Its maintainer costs the same per epoch whatever the epoch
+        // holds, so a cadence set by how fast the host happened to run would
+        // carry host noise into the cost per operation.
+        if (serve_mode) {
+            const double wait = sh.t_start + static_cast<double>(k) * kServeEpochPeriod - now_s();
+            if (wait > 0) std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+        }
+        if (rank == 0 && traced) {
+            sh.pump_cpu0 = thread_cpu_s();
+            sh.last_hook_cpu_ms = 0;
+        }
+        more = engine.pump() ? 1 : 0;
     }
     comm.barrier();
     if (rank == 0) {
         sh.t_end = now_s();
         for (auto& t : threads) t.join();
+        sh.cpu_s = process_cpu_s() - sh.cpu0 - sh.load_cpu_s;
+        sh.peak_rss_mb = peak_rss_mb();
     }
     // Publish whatever the cadence left unpublished, so the last snapshot
     // holds every applied op (a node's shutdown publication).
@@ -534,6 +591,64 @@ double expected_answer(const serve::Query& q, const Replay& g, double triangles)
     return -1;
 }
 
+/// Mean nnz(C*) of the triangle maintainer's Algorithm 1 calls, as the
+/// epochs' net edge changes imply it (the maintainer passes no C* out).
+/// Each epoch inserts the absent pairs I and removes the present pairs R it
+/// was sent (a MASK wins over an ADD; MERGEs are skipped), both directions.
+/// With S the adjacency before the epoch, its four calls produce C* = S*I,
+/// I*(S+I), and then (S+I)*R twice: removed entries are pruned only after
+/// the last call.
+double maintainer_cstar_nnz(const NodeShared& sh, index_t n) {
+    std::vector<std::unordered_set<index_t>> adj(static_cast<std::size_t>(n));
+    auto nbrs = [&](index_t v) -> std::unordered_set<index_t>& { return adj[static_cast<std::size_t>(v)]; };
+    for (const auto& part : sh.in->prefill)
+        for (const auto& e : part) nbrs(e.row).insert(e.col), nbrs(e.col).insert(e.row);
+    using Pairs = std::vector<std::pair<index_t, index_t>>;
+    std::unordered_set<std::uint64_t> pattern;
+    auto left = [&](const Pairs& u) {  // pattern of S * U
+        pattern.clear();
+        for (const auto& [k, j] : u)
+            for (const index_t i : nbrs(k)) pattern.insert(key_of(i, j));
+        return pattern.size();
+    };
+    auto right = [&](const Pairs& u) {  // pattern of U * S
+        pattern.clear();
+        for (const auto& [i, k] : u)
+            for (const index_t j : nbrs(k)) pattern.insert(key_of(i, j));
+        return pattern.size();
+    };
+    std::array<std::size_t, kRanks> cursor{};
+    std::uint64_t total = 0, calls = 0;
+    for (std::size_t e = 0;; ++e) {
+        std::unordered_map<std::uint64_t, bool> net;  // pair -> saw a MASK
+        bool any = false;
+        for (std::size_t q = 0; q < kRanks; ++q) {
+            if (e >= sh.drained[q].size()) continue;
+            any = true;
+            for (std::size_t x = 0; x < sh.drained[q][e]; ++x) {
+                const Op op = sh.ops[q][cursor[q]++].op();
+                if (op.kind == Kind::Merge) continue;
+                auto [it, fresh] = net.try_emplace(pair_key(op.e.row, op.e.col), op.kind == Kind::Mask);
+                if (!fresh && op.kind == Kind::Mask) it->second = true;
+            }
+        }
+        if (!any) break;
+        Pairs ins, rem;
+        for (const auto& [key, masked] : net) {
+            const index_t i = key_row(key), j = key_col(key);
+            const bool present = nbrs(i).count(j) != 0;
+            if (masked && present) rem.insert(rem.end(), {{i, j}, {j, i}});
+            if (!masked && !present) ins.insert(ins.end(), {{i, j}, {j, i}});
+        }
+        total += left(ins);
+        for (const auto& [i, j] : ins) nbrs(i).insert(j);
+        total += right(ins) + left(rem) + right(rem);
+        for (const auto& [i, j] : rem) nbrs(i).erase(j);
+        calls += 4;
+    }
+    return calls == 0 ? 0.0 : static_cast<double>(total) / static_cast<double>(calls);
+}
+
 void check_and_report(const Options& o, NodeShared& sh, bool serve_mode, bool traced, Result& r) {
     const auto& in = *sh.in;
     const index_t n = in.rmat->n();
@@ -546,7 +661,8 @@ void check_and_report(const Options& o, NodeShared& sh, bool serve_mode, bool tr
     // ---- visibility: the ops of queue q drained by the e-th applied epoch
     // belong to version e + 1 and became visible with the first
     // publication of that version or a later one.
-    SubWindows visible(o.seconds);
+    std::vector<double> visible;
+    visible.reserve(pushed);
     std::size_t seen = 0;
     for (int q = 0; q < kRanks; ++q) {
         const auto qi = static_cast<std::size_t>(q);
@@ -557,7 +673,7 @@ void check_and_report(const Options& o, NodeShared& sh, bool serve_mode, bool tr
             for (std::size_t end = x + sh.drained[qi][e]; x < end && x < sh.push_t[qi].size(); ++x)
                 if (pub != sh.published.end()) {
                     const double t = static_cast<double>(sh.push_t[qi][x]);
-                    visible.add(t, 1e3 * (pub->second - sh.t_start - t));
+                    visible.push_back(1e3 * (pub->second - sh.t_start - t));
                     ++seen;
                 }
         }
@@ -638,30 +754,29 @@ void check_and_report(const Options& o, NodeShared& sh, bool serve_mode, bool tr
     }
 
     // ---- end-to-end metrics
-    SubWindows epoch_ms(o.seconds), applied_at(o.seconds);
-    std::vector<double> apply_ms, drain_ms, ops_per_epoch;
-    for (std::size_t x = 0; x < sh.log0.size() && x < sh.epoch_end.size(); ++x) {
-        const auto& e = sh.log0[x];
+    std::vector<double> epoch_ms, apply_ms, drain_ms, ops_per_epoch;
+    for (const auto& e : sh.log0) {
         if (e.global_ops == 0) continue;
-        const double t = sh.epoch_end[x] - sh.t_start;
-        epoch_ms.add(t, e.apply_ms + e.hook_ms + e.publish_ms + e.persist_ms);
-        applied_at.count(t, static_cast<double>(e.global_ops));
+        epoch_ms.push_back(e.apply_ms + e.hook_ms + e.publish_ms + e.persist_ms);
         apply_ms.push_back(e.apply_ms);
         drain_ms.push_back(e.drain_ms);
         ops_per_epoch.push_back(static_cast<double>(e.global_ops));
     }
     auto& E = r.e2e;
-    E.set("setup_s", median(sh.setup_s), "s");
-    E.set("batch_ms_p50", epoch_ms.quantile(0.5), "ms");
-    E.set("batch_ms_p90", epoch_ms.quantile(0.9), "ms");
-    E.set("ingest_ops_per_s", applied_at.rate(sh.t_end - sh.t_start), "ops/s");
+    E.set("batch_ms_p50", quantile(epoch_ms, 0.5), "ms");
+    E.set("batch_ms_p90", quantile(epoch_ms, 0.9), "ms");
+    E.set("ingest_ops_per_s", static_cast<double>(sh.applied) / std::max(sh.t_end - sh.t_start, 1e-9), "ops/s");
     // Without a query client, a read that arrives with a write is answered
     // once the write is visible.
-    const double vis50 = visible.quantile(0.5), vis99 = visible.quantile(0.99);
+    const double vis50 = quantile(visible, 0.5), vis99 = quantile(visible, 0.99);
     E.set("visible_ms_p50", vis50, "ms");
     E.set("visible_ms_p99", vis99, "ms");
-    E.set("query_ms_p50", serve_mode ? sh.query_ms.quantile(0.5) : vis50, "ms");
-    E.set("query_ms_p99", serve_mode ? sh.query_ms.quantile(0.99) : vis99, "ms");
+    E.set("query_ms_p50", serve_mode ? quantile(sh.query_ms, 0.5) : vis50, "ms");
+    E.set("query_ms_p99", serve_mode ? quantile(sh.query_ms, 0.99) : vis99, "ms");
+    r.peak_rss_mb = sh.peak_rss_mb;
+    // The program's CPU (process CPU less the load threads') per write
+    // applied and query answered.
+    E.set("cpu_us_per_op", 1e6 * sh.cpu_s / std::max<double>(static_cast<double>(sh.applied + sh.ok), 1), "us");
     report_comm(r, sh.comm, static_cast<double>(sh.applied), static_cast<double>(apply_ms.size()));
     if (!traced) return;
 
@@ -684,15 +799,55 @@ void check_and_report(const Options& o, NodeShared& sh, bool serve_mode, bool tr
     L.set("persist.checkpoint_ms_p50", sh.wal_ms[2], "ms");
     L.set("serve.publish_ms_p50", median(sh.publish_ms), "ms");
     L.set("serve.snapshots_published", static_cast<double>(sh.published_in_window), "count");
+
+    // The engine calls build_update_matrix inside its apply (Phase::
+    // StreamApply); the apply's time outside its top-level LocalAddition
+    // spans (the local application of A*) is the build. Its CPU is rank 0's
+    // thread CPU from the start of the epoch to the publish hook, less the
+    // analytics hook's and the LocalAddition wall time: the build plus the
+    // drain's and the WAL append's small CPU cost, which the engine gives
+    // no hook to separate.
+    const auto trace = par::Profiler::collect_trace();
+    std::unordered_map<std::uint32_t, std::vector<const par::TraceSpan*>> by_thread;
+    for (const auto& s : trace.spans) by_thread[s.tid].push_back(&s);
+    std::vector<double> build_ms, build_cpu_ms;
+    std::unordered_map<std::int64_t, double> rank0_add_ms;  // by epoch version
+    for (auto& [tid, spans] : by_thread) {
+        std::sort(spans.begin(), spans.end(),
+                  [](const par::TraceSpan* a, const par::TraceSpan* b) { return a->start_ns < b->start_ns; });
+        for (std::size_t x = 0; x < spans.size(); ++x) {
+            const par::TraceSpan& a = *spans[x];
+            if (a.phase != Phase::StreamApply) continue;
+            const std::uint64_t end = a.start_ns + a.dur_ns;
+            std::uint64_t add_ns = 0, covered = 0;
+            for (std::size_t y = x + 1; y < spans.size() && spans[y]->start_ns < end; ++y)
+                if (spans[y]->phase == Phase::LocalAddition && spans[y]->start_ns >= covered) {
+                    add_ns += spans[y]->dur_ns;
+                    covered = spans[y]->start_ns + spans[y]->dur_ns;
+                }
+            build_ms.push_back(1e-6 * static_cast<double>(a.dur_ns - std::min(add_ns, a.dur_ns)));
+            if (a.rank == 0) rank0_add_ms[a.epoch] = 1e-6 * static_cast<double>(add_ns);
+        }
+    }
+    for (const auto& [version, cpu] : sh.pre_publish_cpu_ms) {
+        const auto it = rank0_add_ms.find(static_cast<std::int64_t>(version));
+        if (it != rank0_add_ms.end()) build_cpu_ms.push_back(std::max(cpu - it->second, 0.0));
+    }
+    L.set("core.build_update_wall_ms", median(build_ms), "ms");
+    L.set("core.build_update_cpu_ms", median(build_cpu_ms), "ms");
     if (!serve_mode) return;
     const double alg1 = phase_ms(Phase::SendRecv) + phase_ms(Phase::LocalMult) +
                         phase_ms(Phase::Scatter) + phase_ms(Phase::ReduceScatter);
     L.set("core.alg1_wall_ms", alg1, "ms");
+    // The maintainer's calls cannot be timed from outside; the CPU of its
+    // hook (four Algorithm 1 calls, one redistribution and a count) bounds
+    // theirs.
+    L.set("core.alg1_cpu_ms", median(sh.hook_cpu_ms), "ms");
+    L.set("core.alg1_cstar_nnz", maintainer_cstar_nnz(sh, n), "count");
     L.set("core.alg1_sendrecv_ms", phase_ms(Phase::SendRecv), "ms");
     L.set("core.alg1_local_mult_ms", phase_ms(Phase::LocalMult), "ms");
     L.set("core.alg1_scatter_ms", phase_ms(Phase::Scatter), "ms");
     L.set("core.alg1_reduce_scatter_ms", phase_ms(Phase::ReduceScatter), "ms");
-    const auto trace = par::Profiler::collect_trace();
     std::array<std::vector<double>, serve::kQueryKindCount> eval_us;
     std::vector<double> admit_us;
     for (const auto& s : trace.spans) {
@@ -722,13 +877,15 @@ Result run_node(const Options& o, bool traced, bool serve_mode) {
     NodeShared sh;
     std::unique_ptr<NodeInputs> in;
     Result r;
-    for (int rep = 0; rep < kSetupReps; ++rep) {
-        const bool measure = rep == kSetupReps - 1;
+    const int reps = serve_mode ? kServeSetupReps : kSetupReps;
+    for (int rep = 0; rep < reps; ++rep) {
+        const bool measure = rep == 0;
+        sh.sources.clear();
+        in.reset();
         const double t0 = now_s();
         in = std::make_unique<NodeInputs>(make_inputs(o.seed, sz));
         sh.in = in.get();
         sh.record_ops = serve_mode;
-        sh.sources.clear();
         for (int p = 0; p < sz.producers; ++p) {
             std::vector<int> queues;
             for (int q = 0; q < kRanks; ++q)
@@ -757,6 +914,11 @@ Result run_node(const Options& o, bool traced, bool serve_mode) {
         std::filesystem::remove_all(wal_dir);
         if (measure) check_and_report(o, sh, serve_mode, traced, r);
     }
+    r.e2e.set("setup_s", median(sh.setup_s), "s");
+    r.notes.push_back("set-ups: " + std::to_string(sh.setup_s.size()) + ", first " +
+                      std::to_string(sh.setup_s.front()) + " s, min " +
+                      std::to_string(quantile(sh.setup_s, 0)) + " s, max " +
+                      std::to_string(quantile(sh.setup_s, 1)) + " s");
     std::error_code ec;
     std::filesystem::remove(o.work_dir, ec);  // only if empty
     return r;

@@ -1,6 +1,7 @@
-// Entry points of the four workloads. A pass sets up the workload
-// kSetupReps times, measures the last set-up for Options::seconds and checks
-// the program's outputs against the reference; a traced pass also fills the
+// Entry points of the four workloads. A pass sets up the workload, measures
+// it for Options::seconds and checks the program's outputs against the
+// reference, then sets it up again until it has kSetupReps set-up times
+// (more on node-serve, whose set-up is short); a traced pass also fills the
 // per-layer metrics.
 #pragma once
 

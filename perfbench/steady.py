@@ -62,8 +62,8 @@ def main():
             over = [t["metrics"].get(f"obs.trace_overhead.{name}", {}).get("value") for t in traced]
             over = [o for o in over if o]
             over_s = f"{statistics.median(over):9.3f}" if over else f"{'-':>9s}"
-            flag = "" if name == "setup_s" or spread < bound / 3 else ("  (> bound/3)" if spread < bound else "  (> bound)")
-            verdict = verdict and (name == "setup_s" or spread < bound)
+            flag = "" if spread < bound / 3 else ("  (> bound/3)" if spread < bound else "  (> bound)")
+            verdict = verdict and spread < bound
             print(f"{name:24s} {med:14.4f} {q1:14.4f} {q3:14.4f} {spread:8.3f} {bound:6.2f} {over_s}{flag}")
     if args.json:
         with open(args.json, "w") as f:
